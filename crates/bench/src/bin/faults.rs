@@ -72,7 +72,7 @@ fn main() {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let faulted_start = Instant::now();
-    let faulted = rid_core::analyze_program_with_faults(&program, &apis, &options, &plan);
+    let faulted = rid_core::analyze_program_cached(&program, &apis, &options, &plan, None);
     let faulted_time = faulted_start.elapsed();
     std::panic::set_hook(default_hook);
 

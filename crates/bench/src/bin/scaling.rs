@@ -14,16 +14,12 @@
 //! overhead on tiny corpora). A 2-worker minimum within
 //! `1-worker minimum × (1 + floor + margin)` passes.
 //!
-//! A determinism spot-check rides along: one `--processes 2` sharded run
-//! must reproduce the sequential reports exactly (cheap insurance that
-//! the multi-process path stays byte-identical on every CI host shape).
-//!
 //! ```text
 //! cargo run -p rid-bench --release --bin scaling -- \
 //!     [--seed N] [--scale F] [--iters N]
 //! ```
 
-use rid_core::{AnalysisOptions, FaultPlan};
+use rid_core::AnalysisOptions;
 use rid_corpus::kernel::{generate_kernel, KernelConfig};
 
 #[path = "../args.rs"]
@@ -47,8 +43,6 @@ fn min(xs: &[f64]) -> f64 {
 }
 
 fn main() {
-    // The sharded determinism check re-execs this binary as workers.
-    rid_core::maybe_run_worker();
     let seed: u64 = args::flag("seed").unwrap_or(2016);
     let scale: f64 = args::flag("scale").unwrap_or(0.5);
     let iters: usize = args::flag("iters").unwrap_or(5);
@@ -82,28 +76,6 @@ fn main() {
         noise * 100.0,
         one_min / two_min.max(1e-9),
     );
-
-    // Determinism spot-check: a 2-process sharded run must reproduce the
-    // sequential reports exactly, whatever the host shape.
-    let reference = rid_core::analyze_program(
-        &program,
-        &rid_core::apis::linux_dpm_apis(),
-        &AnalysisOptions::default(),
-    );
-    let sharded = rid_core::analyze_processes(
-        &corpus.sources,
-        &rid_core::apis::linux_dpm_apis(),
-        &AnalysisOptions::default(),
-        &FaultPlan::none(),
-        2,
-        None,
-    )
-    .expect("sharded analysis runs");
-    assert!(
-        sharded.reports == reference.reports,
-        "--processes 2 reports diverged from sequential"
-    );
-    println!("determinism: --processes 2 reports identical to sequential");
 
     if host_cpus < 2 {
         println!(

@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! rid analyze <file.ril>... [--apis dpm|python|none] [--summaries db.json]
-//!             [--save-summaries out.json] [--threads N] [--steal-batch N]
-//!             [--processes P] [--no-selective] [--separate] [--json]
+//!             [--save-summaries out.json] [--threads N]
+//!             [--no-selective] [--separate] [--json]
 //!             [--no-refute] [--deadline-ms N] [--fuel N]
 //!             [--global-deadline-ms N] [--exec-mode auto|tree|per-path]
-//!             [--fault-plan plan.json] [--cache cache.json]
+//!             [--cache cache.json]
 //!             [--trace out.json] [--metrics out.json]
 //! rid explain --state s.json [<file.ril>...] [--function <name>]
 //! rid diff <old-state.json> <new-state.json> [--ignore .ridignore] [--json]
@@ -55,11 +55,11 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:
   rid analyze <file.ril>... [--apis dpm|python|none] [--summaries db.json]
-              [--save-summaries out.json] [--threads N] [--steal-batch N]
-              [--processes P] [--no-selective] [--separate] [--callbacks]
+              [--save-summaries out.json] [--threads N]
+              [--no-selective] [--separate] [--callbacks]
               [--json] [--no-refute] [--deadline-ms N] [--fuel N]
               [--global-deadline-ms N] [--exec-mode auto|tree|per-path]
-              [--fault-plan plan.json] [--cache cache.json]
+              [--cache cache.json]
               [--trace out.json] [--metrics out.json]
   rid explain --state s.json [<file.ril>...] [--function <name>]
   rid explain --flight-recorder <state-dir|dir|file.frec>
@@ -188,11 +188,6 @@ fn analysis_options(args: &Args) -> Result<AnalysisOptions, String> {
             .get("threads")
             .and_then(|t| t.parse().ok())
             .unwrap_or(1),
-        steal_batch: args
-            .options
-            .get("steal-batch")
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0),
         budget,
         exec_mode,
         ..Default::default()
@@ -226,91 +221,60 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
     let sources = read_sources(&args.files)?;
     let apis = predefined_apis(args)?;
     let options = analysis_options(args)?;
-    // Fault plans are a testing instrument: they let the differential
-    // suite drive `--processes`/`--threads` runs through the exact
-    // degradation machinery a sequential reference run hits.
-    let faults: rid_core::FaultPlan = match args.options.get("fault-plan") {
-        Some(path) => serde_json::from_str(
-            &std::fs::read_to_string(path).map_err(|e| format!("--fault-plan: {path}: {e}"))?,
-        )
-        .map_err(|e| format!("--fault-plan: {path}: {e}"))?,
-        None => rid_core::FaultPlan::none(),
-    };
-    let processes: Option<usize> = args
-        .options
-        .get("processes")
-        .map(|v| v.parse().map_err(|_| format!("--processes expects a count, got `{v}`")))
-        .transpose()?;
-
     let cache_path = args.options.get("cache").map(PathBuf::from);
-    // Shard-worker trace lanes, captured only on the `--processes` path
-    // when tracing is on; merged with the coordinator's own ring below.
-    let mut stitched: Option<rid_core::StitchedTrace> = None;
-    let result = if let Some(processes) = processes {
-        if args.flags.iter().any(|f| f == "separate") {
-            return Err("--processes is not supported with --separate".to_owned());
-        }
-        // The coordinator owns the cache file end to end (warm start and
-        // final merged store), so the CLI-level load/save is skipped.
-        let (result, traced) = rid_core::analyze_processes_traced(
-            &sources,
-            &apis,
-            &options,
-            &faults,
-            processes,
-            cache_path.as_deref(),
-        )
-        .map_err(|e| e.to_string())?;
-        stitched = traced;
-        result
-    } else if args.flags.iter().any(|f| f == "separate") {
+
+    // The sources are parsed once; the text report renders parameter
+    // names from the same program the analysis ran on.
+    let (result, program) = if args.flags.iter().any(|f| f == "separate") {
         if cache_path.is_some() {
             return Err("--cache is not supported with --separate".to_owned());
-        }
-        if !faults.is_none() {
-            return Err("--fault-plan is not supported with --separate".to_owned());
         }
         // §5.3 mode: analyze compilation units separately in dependency
         // order, carrying summaries between groups.
         let modules: Result<Vec<_>, _> =
             sources.iter().map(|s| rid_frontend::parse_module(s)).collect();
         let modules = modules.map_err(|e| e.to_string())?;
-        analyze_modules_separately(&modules, &apis, &options).map_err(|e| e.to_string())?
-    } else if let Some(path) = &cache_path {
+        let result =
+            analyze_modules_separately(&modules, &apis, &options).map_err(|e| e.to_string())?;
+        // Renders without parameter names when the modules do not link
+        // as one program.
+        let program = modules
+            .into_iter()
+            .try_fold(rid_ir::Program::new(), |mut p, m| p.link(m).map(|()| p))
+            .ok();
+        (result, program)
+    } else {
         let program = rid_frontend::parse_program(sources.iter().map(String::as_str))
             .map_err(|e| e.to_string())?;
         // A missing cache file is a cold start, not an error; anything
         // else (unreadable, garbage, foreign schema) is fatal.
-        let mut cache = if path.exists() {
-            load_cache(path).map_err(|e| format!("--cache: {e}"))?
-        } else {
-            rid_core::SummaryCache::new()
+        let mut cache = match &cache_path {
+            Some(path) if path.exists() => {
+                Some(load_cache(path).map_err(|e| format!("--cache: {e}"))?)
+            }
+            Some(_) => Some(rid_core::SummaryCache::new()),
+            None => None,
         };
         let result = rid_core::analyze_program_cached(
             &program,
             &apis,
             &options,
-            &faults,
-            Some(&mut cache),
+            &rid_core::FaultPlan::none(),
+            cache.as_mut(),
         );
-        save_cache(&cache, path).map_err(|e| format!("--cache: {e}"))?;
-        eprintln!(
-            "cache: {} hit(s), {} miss(es), {} invalidated; {} entries in {}",
-            result.stats.cache_hits,
-            result.stats.cache_misses,
-            result.stats.cache_invalidated,
-            cache.len(),
-            path.display()
-        );
-        result
-    } else {
-        let program = rid_frontend::parse_program(sources.iter().map(String::as_str))
-            .map_err(|e| e.to_string())?;
-        rid_core::driver::analyze_program_with_faults(&program, &apis, &options, &faults)
+        if let (Some(path), Some(cache)) = (&cache_path, &cache) {
+            save_cache(cache, path).map_err(|e| format!("--cache: {e}"))?;
+            eprintln!(
+                "cache: {} hit(s), {} miss(es), {} invalidated; {} entries in {}",
+                result.stats.cache_hits,
+                result.stats.cache_misses,
+                result.stats.cache_invalidated,
+                cache.len(),
+                path.display()
+            );
+        }
+        (result, Some(program))
     };
-
-    let program =
-        rid_frontend::parse_program(sources.iter().map(String::as_str)).ok();
 
     if args.flags.iter().any(|f| f == "json") {
         let json = serde_json::to_string_pretty(&result.reports)
@@ -339,43 +303,15 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
         rid_obs::drain()
     });
     if let (Some(path), Some(trace)) = (&trace_path, &trace) {
-        let shard_events: usize =
-            stitched.iter().flat_map(|st| &st.shards).map(|s| s.events.len()).sum();
-        // With `--processes`, stitch coordinator + shard-worker rings
-        // into one Chrome trace: one pid lane per process, all tied to
-        // the run's trace id so the viewer reads a single timeline.
-        let chrome = match &stitched {
-            Some(st) if !st.shards.is_empty() => {
-                let mut lanes = vec![rid_obs::ChromeLane {
-                    pid: u64::from(std::process::id()),
-                    name: "rid coordinator".to_owned(),
-                    events: &trace.events,
-                }];
-                lanes.extend(st.shards.iter().map(|s| rid_obs::ChromeLane {
-                    pid: s.pid,
-                    name: s.label.clone(),
-                    events: &s.events,
-                }));
-                rid_obs::chrome_json_merged(&lanes, st.trace_id)
-            }
-            _ => trace.to_chrome_json(),
-        };
-        std::fs::write(path, chrome)
+        std::fs::write(path, trace.to_chrome_json())
             .map_err(|e| format!("--trace: {}: {e}", path.display()))?;
         let jsonl_path = PathBuf::from(format!("{}.jsonl", path.display()));
-        let mut jsonl = trace.to_jsonl();
-        for shard in stitched.iter().flat_map(|st| &st.shards) {
-            let shard_trace =
-                rid_obs::Trace { events: shard.events.clone(), dropped: 0 };
-            jsonl.push_str(&shard_trace.to_jsonl());
-        }
-        std::fs::write(&jsonl_path, jsonl)
+        std::fs::write(&jsonl_path, trace.to_jsonl())
             .map_err(|e| format!("--trace: {}: {e}", jsonl_path.display()))?;
         eprintln!(
-            "trace: {} event(s) ({} dropped, {} from shard workers) written to {} (+ {})",
-            trace.events.len() + shard_events,
+            "trace: {} event(s) ({} dropped) written to {} (+ {})",
+            trace.events.len(),
             trace.dropped,
-            shard_events,
             path.display(),
             jsonl_path.display()
         );
@@ -820,13 +756,7 @@ fn cmd_serve(args: &Args) -> Result<u8, String> {
         if let Some(path) = &trace_path {
             rid_obs::trace::disable();
             let trace = rid_obs::drain();
-            let lanes = [rid_obs::ChromeLane {
-                pid: u64::from(std::process::id()),
-                name: "rid serve".to_owned(),
-                events: &trace.events,
-            }];
-            let chrome = rid_obs::chrome_json_merged(&lanes, rid_core::next_trace_id());
-            std::fs::write(path, chrome)
+            std::fs::write(path, trace.to_chrome_json())
                 .map_err(|e| format!("--trace: {}: {e}", path.display()))?;
             eprintln!(
                 "trace: {} event(s) ({} dropped) written to {}",
@@ -1073,9 +1003,6 @@ fn top_latency_rows(
 }
 
 fn main() -> ExitCode {
-    // A `--processes` coordinator re-execs this binary as shard workers;
-    // this diverts (and exits) when the worker token is present.
-    rid_core::maybe_run_worker();
     let Some(args) = parse_args() else { return usage() };
     let outcome = match args.command.as_str() {
         "analyze" => cmd_analyze(&args),

@@ -477,3 +477,45 @@ fn balanced(dev) {
     let status = daemon.wait().unwrap();
     assert!(status.success(), "daemon drains and exits cleanly after shutdown");
 }
+
+/// A `shutdown` request must be answered before the daemon exits: the
+/// connection thread writes the reply while it still holds the engine
+/// lock, so the accept loop cannot observe the shutdown, drain, and
+/// return in between. Repeated because the lost reply was a race.
+#[cfg(unix)]
+#[test]
+fn serve_answers_shutdown_before_exiting() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dir = tempdir("shutdown");
+    let socket = dir.join("rid.sock");
+    for run in 0..20 {
+        let mut daemon = rid()
+            .args(["serve", "--socket", socket.to_str().unwrap()])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .unwrap();
+        // The socket path may be a leftover of the previous run, so
+        // readiness means a connect succeeds, not that the path exists.
+        let mut stream = (0..600)
+            .find_map(|_| {
+                UnixStream::connect(&socket).ok().or_else(|| {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    None
+                })
+            })
+            .unwrap_or_else(|| panic!("run {run}: daemon never listened"));
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+        stream.write_all(b"{\"id\":1,\"op\":\"shutdown\"}\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).unwrap();
+        assert!(!reply.is_empty(), "run {run}: daemon exited without replying");
+        let reply: serde_json::Value = serde_json::from_str(reply.trim()).unwrap();
+        assert_eq!(reply["id"].as_i64(), Some(1), "run {run}: {reply}");
+        assert_eq!(reply["ok"].as_bool(), Some(true), "run {run}: {reply}");
+        let status = daemon.wait().unwrap();
+        assert!(status.success(), "run {run}: daemon exits cleanly after shutdown");
+    }
+}

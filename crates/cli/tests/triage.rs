@@ -1,7 +1,7 @@
 //! End-to-end tests for the triage workflow: `rid diff` as a CI gate
 //! (exit non-zero only on *new* bugs), `.ridignore` suppression and the
 //! `rid suppress` round-trip, `--no-refute`, the `gen-kernel --spurious`
-//! knob, and hash stability across `--processes`.
+//! knob, and hash stability across `--threads`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -344,46 +344,42 @@ fn client_diff_gate_applies_local_suppressions() {
 }
 
 /// The `REPORTS.md` stability guarantee, end to end through the binary:
-/// `--processes` and `--threads` runs hash identically to a sequential
-/// one.
+/// a `--threads` run hashes identically to a sequential one.
 #[test]
-fn hashes_are_stable_across_processes_and_threads() {
+fn hashes_are_stable_across_threads() {
     let dir = tempdir("hash-stability");
     let a = write(&dir, "a.ril", &buggy_module("mod_a", "fn_unchanged"));
     let c = write(&dir, "c.ril", &buggy_module("mod_c", "fn_new"));
     let files = [&a, &c];
     let sequential = save_state(&dir, "seq.json", &files);
 
-    let variants: [&[&str]; 2] = [&["--processes", "2"], &["--threads", "4"]];
-    for (i, extra) in variants.iter().enumerate() {
-        let state_path = dir.join(format!("variant{i}.json"));
-        let mut cmd = rid();
-        cmd.arg("analyze");
-        for file in files {
-            cmd.arg(file.to_str().unwrap());
-        }
-        cmd.args(["--save-state", state_path.to_str().unwrap()]).args(*extra);
-        let output = cmd.output().unwrap();
-        assert_eq!(output.status.code(), Some(1));
-
-        // Hash both states and compare as sets; `rid diff` agreeing
-        // that nothing is new is the same statement through the CLI.
-        let output = rid()
-            .args(["diff", sequential.to_str().unwrap(), state_path.to_str().unwrap()])
-            .current_dir(&dir)
-            .output()
-            .unwrap();
-        assert_eq!(output.status.code(), Some(0), "variant {extra:?} moved a hash");
-        let text = stdout(&output);
-        assert!(!text.contains("resolved"), "variant {extra:?} lost a report: {text}");
-
-        let seq = rid_core::persist::load_state(&sequential).unwrap();
-        let var = rid_core::persist::load_state(&state_path).unwrap();
-        let hash = |r: &rid_core::AnalysisResult| -> Vec<String> {
-            let mut h: Vec<String> = r.reports.iter().map(rid_core::report_hash).collect();
-            h.sort_unstable();
-            h
-        };
-        assert_eq!(hash(&seq), hash(&var), "variant {extra:?}");
+    let state_path = dir.join("threads.json");
+    let mut cmd = rid();
+    cmd.arg("analyze");
+    for file in files {
+        cmd.arg(file.to_str().unwrap());
     }
+    cmd.args(["--save-state", state_path.to_str().unwrap(), "--threads", "4"]);
+    let output = cmd.output().unwrap();
+    assert_eq!(output.status.code(), Some(1));
+
+    // Hash both states and compare as sets; `rid diff` agreeing that
+    // nothing is new is the same statement through the CLI.
+    let output = rid()
+        .args(["diff", sequential.to_str().unwrap(), state_path.to_str().unwrap()])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(0), "--threads 4 moved a hash");
+    let text = stdout(&output);
+    assert!(!text.contains("resolved"), "--threads 4 lost a report: {text}");
+
+    let seq = rid_core::persist::load_state(&sequential).unwrap();
+    let threaded = rid_core::persist::load_state(&state_path).unwrap();
+    let hash = |r: &rid_core::AnalysisResult| -> Vec<String> {
+        let mut h: Vec<String> = r.reports.iter().map(rid_core::report_hash).collect();
+        h.sort_unstable();
+        h
+    };
+    assert_eq!(hash(&seq), hash(&threaded));
 }

@@ -77,17 +77,11 @@ pub struct AnalysisOptions {
     /// (default), shared-prefix tree execution, or the standalone per-path
     /// reference mode. All produce identical summaries.
     pub exec_mode: ExecMode,
-    /// Upper bound on how many ready components a worker drains from a
-    /// victim's deque per steal (`0` = auto: steal half the victim's
-    /// queue, capped at [`AUTO_STEAL_CAP`]). Execution-order only — like
-    /// `threads`, deliberately **not** cache-key material (see
-    /// [`crate::cache`]).
-    pub steal_batch: usize,
     /// Run the second-stage refutation pass ([`crate::refute`]) over the
     /// surviving reports (on by default; `--no-refute` disables it). Like
-    /// `check_callbacks`, this is a post-merge coordinator pass: shard
-    /// workers never run it, and it is **not** cache-key material — the
-    /// cache stores stage-one reports and warm runs re-refute.
+    /// `check_callbacks`, this is a post-merge pass, and it is **not**
+    /// cache-key material — the cache stores stage-one reports and warm
+    /// runs re-refute.
     pub refute: bool,
 }
 
@@ -101,16 +95,15 @@ impl Default for AnalysisOptions {
             check_callbacks: false,
             budget: Budget::unlimited(),
             exec_mode: ExecMode::default(),
-            steal_batch: 0,
             refute: true,
         }
     }
 }
 
-/// Batch cap used when [`AnalysisOptions::steal_batch`] is `0` (auto):
-/// steal-half, but never more than this. Half the victim's queue balances
-/// load in O(log n) steals; the cap keeps one steal from hoarding a whole
-/// wavefront behind a single worker when the queue is momentarily deep.
+/// Steal-batch cap: a steal takes half the victim's queue, but never
+/// more than this. Half the victim's queue balances load in O(log n)
+/// steals; the cap keeps one steal from hoarding a whole wavefront behind
+/// a single worker when the queue is momentarily deep.
 pub const AUTO_STEAL_CAP: usize = 8;
 
 /// Statistics from one analysis run (§6.5-style reporting).
@@ -405,20 +398,6 @@ pub fn analyze_program(
     analyze_program_cached(program, predefined, options, &FaultPlan::none(), None)
 }
 
-/// Like [`analyze_program`], but with a [`FaultPlan`] injecting
-/// deterministic panics, slowdowns, and solver stalls — the robustness
-/// test harness. Production callers use [`analyze_program`], which passes
-/// [`FaultPlan::none`].
-#[must_use]
-pub fn analyze_program_with_faults(
-    program: &Program,
-    predefined: &SummaryDb,
-    options: &AnalysisOptions,
-    faults: &FaultPlan,
-) -> AnalysisResult {
-    analyze_program_cached(program, predefined, options, faults, None)
-}
-
 /// Everything one worker accumulates locally; merged (in worker-index
 /// order) after the pool drains, so the hot path never touches a shared
 /// lock for bookkeeping.
@@ -452,9 +431,6 @@ struct Scheduler {
     depth_max: AtomicUsize,
     gate: Mutex<()>,
     idle: Condvar,
-    /// Resolved steal-batch cap ([`AnalysisOptions::steal_batch`], with
-    /// `0` mapped to the steal-half / [`AUTO_STEAL_CAP`] heuristic).
-    steal_cap: usize,
 }
 
 /// What `Scheduler::pop` found: a component plus, when it was stolen, the
@@ -474,7 +450,7 @@ struct StealGrab {
 }
 
 impl Scheduler {
-    fn new(workers: usize, pending: usize, steal_batch: usize) -> Scheduler {
+    fn new(workers: usize, pending: usize) -> Scheduler {
         Scheduler {
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             pending: AtomicUsize::new(pending),
@@ -482,7 +458,6 @@ impl Scheduler {
             depth_max: AtomicUsize::new(0),
             gate: Mutex::new(()),
             idle: Condvar::new(),
-            steal_cap: if steal_batch == 0 { AUTO_STEAL_CAP } else { steal_batch },
         }
     }
 
@@ -509,8 +484,8 @@ impl Scheduler {
 
     /// Pops from `worker`'s own deque (LIFO: freshly unlocked components
     /// are cache-warm) or steals a *batch* from a sibling: half the
-    /// victim's queue up to `steal_cap`, FIFO end (the entries the victim
-    /// would touch last). One stolen component is returned for immediate
+    /// victim's queue up to [`AUTO_STEAL_CAP`], FIFO end (the entries the
+    /// victim would touch last). One stolen component is returned for immediate
     /// execution; the rest land on the thief's own deque — still counted
     /// in `queued`, and stealable in turn — so each paid scan amortizes
     /// over several components instead of one.
@@ -533,7 +508,7 @@ impl Scheduler {
             let victim = (worker + offset) % n;
             {
                 let mut vq = self.deques[victim].lock();
-                let take = vq.len().div_ceil(2).clamp(1, self.steal_cap);
+                let take = vq.len().div_ceil(2).clamp(1, AUTO_STEAL_CAP);
                 for _ in 0..take {
                     match vq.pop_front() {
                         Some(c) => grabbed.push(c),
@@ -602,8 +577,8 @@ impl Scheduler {
 /// Analyzes a whole program with an optional persistent summary cache
 /// and a fault plan.
 ///
-/// This is the full-control entry point [`analyze_program`] and
-/// [`analyze_program_with_faults`] delegate to. When `cache` is given,
+/// This is the driver's single entry point; [`analyze_program`] is the
+/// no-cache, no-faults convenience over it. When `cache` is given,
 /// functions whose content key matches a cached entry reuse the stored
 /// summary and reports (counted in [`AnalysisStats::cache_hits`]), and
 /// every fresh non-degraded result is written back. Degraded results are
@@ -615,36 +590,7 @@ pub fn analyze_program_cached(
     predefined: &SummaryDb,
     options: &AnalysisOptions,
     faults: &FaultPlan,
-    cache: Option<&mut SummaryCache>,
-) -> AnalysisResult {
-    analyze_program_masked(program, predefined, options, faults, cache, None)
-}
-
-/// A per-component shard mask for multi-process analysis (see
-/// [`crate::shard`]). `analyze` marks the components this process runs at
-/// all (its assigned components plus their active callee closure, so
-/// every summary a worker reads is either cached or recomputed locally);
-/// `emit` marks the subset this process *owns* — only their reports,
-/// degradations, statistics, and cache write-backs leave the process.
-/// Closure-only components still publish summaries into the slots, but
-/// their outputs are discarded: the owning shard already reported them.
-pub(crate) struct CompMask {
-    /// Indexed by component: process this component.
-    pub analyze: Vec<bool>,
-    /// Indexed by component: own this component's outputs.
-    pub emit: Vec<bool>,
-}
-
-/// [`analyze_program_cached`] with an optional [`CompMask`] restricting
-/// which call-graph components this process analyzes and which outputs it
-/// owns. `None` analyzes (and owns) everything.
-pub(crate) fn analyze_program_masked(
-    program: &Program,
-    predefined: &SummaryDb,
-    options: &AnalysisOptions,
-    faults: &FaultPlan,
     mut cache: Option<&mut SummaryCache>,
-    mask: Option<&CompMask>,
 ) -> AnalysisResult {
     let graph = CallGraph::build(program);
     let functions = program.functions();
@@ -675,18 +621,11 @@ pub(crate) fn analyze_program_masked(
     // nobody needs to wait for them).
     let cond = graph.condensation();
     let n_comps = cond.members.len();
-    let mut active: Vec<bool> = cond
+    let active: Vec<bool> = cond
         .members
         .iter()
         .map(|members| members.iter().any(|&i| should_analyze(functions[i].name())))
         .collect();
-    if let Some(mask) = mask {
-        debug_assert_eq!(mask.analyze.len(), n_comps);
-        for (a, &m) in active.iter_mut().zip(&mask.analyze) {
-            *a = *a && m;
-        }
-    }
-    let owns = |c: usize| mask.is_none_or(|m| m.emit[c]);
     let keys: Vec<Option<u128>> = if cache.is_some() {
         let salt = cache_salt(options, predefined);
         function_keys(&functions, &cond, &active, salt)
@@ -815,14 +754,7 @@ pub(crate) fn analyze_program_masked(
         let mut out = WorkerOut::default();
         for (c, &is_active) in active.iter().enumerate() {
             if is_active {
-                if owns(c) {
-                    process_comp(c, &mut out);
-                } else {
-                    // Closure-only component under a shard mask: publish
-                    // summaries (into `slots`) but discard the outputs —
-                    // the owning shard already accounted for them.
-                    process_comp(c, &mut WorkerOut::default());
-                }
+                process_comp(c, &mut out);
             }
         }
         vec![out]
@@ -837,7 +769,7 @@ pub(crate) fn analyze_program_masked(
                 )
             })
             .collect();
-        let sched = Scheduler::new(workers, active_total, options.steal_batch);
+        let sched = Scheduler::new(workers, active_total);
         {
             // Seed: leaf components (no active callees), round-robin so
             // every worker starts with work.
@@ -876,13 +808,7 @@ pub(crate) fn analyze_program_masked(
                 }
                 profile.comps += 1;
                 let c = popped.comp;
-                if owns(c) {
-                    process_comp(c, &mut out);
-                } else {
-                    // See the sequential path: summaries publish, outputs
-                    // are the owning shard's to report.
-                    process_comp(c, &mut WorkerOut::default());
-                }
+                process_comp(c, &mut out);
                 for &cw in &cond.caller_comps[c] {
                     // AcqRel: the release half publishes this worker's slot
                     // writes to the thief that schedules `cw`; the acquire
@@ -976,10 +902,8 @@ pub(crate) fn analyze_program_masked(
 /// The callback-contract pass: re-checks registered callbacks with
 /// return-value distinctions removed, appending any report not already
 /// present for the same `(function, refcount)`. Runs after the summary
-/// database is complete — the driver calls it inline, and the
-/// multi-process coordinator ([`crate::shard`]) calls it once over the
-/// merged result (shard workers skip it, so it is never run twice).
-pub(crate) fn callback_pass(
+/// database is complete.
+fn callback_pass(
     program: &Program,
     db: &SummaryDb,
     options: &AnalysisOptions,
@@ -1233,26 +1157,6 @@ mod tests {
             sequential.stats.functions_analyzed,
             parallel.stats.functions_analyzed
         );
-    }
-
-    #[test]
-    fn steal_batch_settings_do_not_change_results() {
-        // The batch cap reshuffles execution order only; summaries and
-        // reports must be byte-identical at every setting, including the
-        // degenerate single-component-per-steal cap.
-        let sources = [FIGURE8, FIGURE9];
-        let reference =
-            analyze_sources(sources, &linux_dpm_apis(), &AnalysisOptions::default()).unwrap();
-        for steal_batch in [0usize, 1, 3, 64] {
-            let options =
-                AnalysisOptions { threads: 4, steal_batch, ..Default::default() };
-            let got = analyze_sources(sources, &linux_dpm_apis(), &options).unwrap();
-            assert_eq!(reference.reports, got.reports, "steal_batch {steal_batch}");
-            assert_eq!(
-                reference.stats.functions_analyzed, got.stats.functions_analyzed,
-                "steal_batch {steal_batch}"
-            );
-        }
     }
 
     #[test]

@@ -12,14 +12,10 @@
 //! (panic isolation, retry, degradation records); production entry points
 //! use [`FaultPlan::none`], which injects nothing.
 
-use serde::{Deserialize, Serialize};
-
-/// A deterministic fault-injection plan.
-///
-/// Serializable so coordinators can ship a plan to shard worker
-/// processes verbatim — selection hashes only the seed and the function
-/// name, so the same plan faults the same functions in every process.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// A deterministic fault-injection plan. Selection hashes only the seed
+/// and the function name, so the same plan faults the same functions in
+/// every run.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the per-function selection hash.
     pub seed: u64,

@@ -161,17 +161,17 @@ pub fn save_cache(cache: &crate::cache::SummaryCache, path: &Path) -> io::Result
 
 /// Loads a summary cache saved by [`save_cache`].
 ///
-/// A RIDSS1 container opens **lazily**: only the header and offset index
-/// are read here; entry payloads are fetched and parsed per probe. A
-/// legacy JSON cache (pre-container builds) is still recognized and
-/// parsed eagerly. Either way, caches written under a different
-/// [`crate::cache::CACHE_SCHEMA`] are rejected — stale on-disk formats
-/// must miss loudly rather than corrupt a run.
+/// The RIDSS1 container opens **lazily**: only the header and offset
+/// index are read here; entry payloads are fetched and parsed per probe.
+/// Anything else — including a JSON document — is rejected, as are
+/// caches written under a different [`crate::cache::CACHE_SCHEMA`]:
+/// stale on-disk formats must miss loudly rather than corrupt a run.
 ///
 /// # Errors
 ///
-/// Returns an I/O error if the file cannot be read, parsed, or carries a
-/// different schema tag.
+/// Returns an [`io::ErrorKind::InvalidData`] error if the file is not a
+/// RIDSS1 container or carries a different schema tag, and the
+/// underlying I/O error if it cannot be read.
 pub fn load_cache(path: &Path) -> io::Result<crate::cache::SummaryCache> {
     let mut magic = [0u8; 8];
     {
@@ -182,12 +182,13 @@ pub fn load_cache(path: &Path) -> io::Result<crate::cache::SummaryCache> {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "summary cache: truncated"));
         }
     }
-    let cache = if &magic == crate::store::STORE_MAGIC {
-        crate::cache::SummaryCache::from_store(crate::store::SummaryStore::open(path)?)
-    } else {
-        let json = fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-    };
+    if &magic != crate::store::STORE_MAGIC {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "summary cache: not a RIDSS1 container",
+        ));
+    }
+    let cache = crate::cache::SummaryCache::from_store(crate::store::SummaryStore::open(path)?);
     if cache.schema != crate::cache::CACHE_SCHEMA {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -564,6 +565,16 @@ mod tests {
         bytes[at..at + schema.len()].copy_from_slice(b"rid-summary-cache/v0");
         std::fs::write(&path, bytes).unwrap();
         assert!(load_cache(&path).is_err());
+
+        // A JSON cache (the pre-container encoding, under the current
+        // schema tag) is not a RIDSS1 container: an error, not a panic.
+        let json = format!(
+            r#"{{"schema":"{}","entries":{{}}}}"#,
+            crate::cache::CACHE_SCHEMA
+        );
+        std::fs::write(&path, json).unwrap();
+        let err = load_cache(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 

@@ -17,8 +17,7 @@
 
 use rid_core::apis::linux_dpm_apis;
 use rid_core::{
-    analyze_program_cached, analyze_program_with_faults, AnalysisOptions, AnalysisResult,
-    ExecMode, FaultPlan, SummaryCache,
+    analyze_program_cached, AnalysisOptions, AnalysisResult, ExecMode, FaultPlan, SummaryCache,
 };
 use rid_corpus::kernel::{generate_kernel, KernelConfig};
 use rid_frontend::parse_program;
@@ -36,7 +35,7 @@ fn run(
     faults: &FaultPlan,
 ) -> AnalysisResult {
     let options = AnalysisOptions { exec_mode: mode, threads, ..AnalysisOptions::default() };
-    analyze_program_with_faults(program, &linux_dpm_apis(), &options, faults)
+    analyze_program_cached(program, &linux_dpm_apis(), &options, faults, None)
 }
 
 /// The whole summary database as one canonical JSON blob (summaries
@@ -166,7 +165,7 @@ fn scheduler_and_cache_match_reference_across_threads_and_faults() {
         for threads in [1usize, 2, 8] {
             let options = AnalysisOptions { threads, ..AnalysisOptions::default() };
 
-            let cold = analyze_program_with_faults(&program, &apis, &options, plan);
+            let cold = analyze_program_cached(&program, &apis, &options, plan, None);
             assert_equivalent(&cold, &reference, &format!("{what}, {threads} threads, cold"));
             assert_eq!(
                 cold.degraded.keys().collect::<Vec<_>>(),

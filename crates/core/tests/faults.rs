@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use rid_core::apis::linux_dpm_apis;
 use rid_core::{
-    analyze_program_with_faults, analyze_sources, AnalysisOptions, AnalysisResult, Budget,
+    analyze_program_cached, analyze_sources, AnalysisOptions, AnalysisResult, Budget,
     DegradeReason, FaultPlan, PathLimits, Summary,
 };
 use rid_corpus::kernel::{generate_kernel, KernelConfig};
@@ -42,8 +42,8 @@ fn faulted_run_completes_with_correct_reasons_and_untouched_functions_identical(
     let options = AnalysisOptions::default();
     let plan = FaultPlan { seed: 42, panic_rate: 0.08, ..FaultPlan::none() };
 
-    let clean = analyze_program_with_faults(&program, &apis, &options, &FaultPlan::none());
-    let faulted = analyze_program_with_faults(&program, &apis, &options, &plan);
+    let clean = analyze_program_cached(&program, &apis, &options, &FaultPlan::none(), None);
+    let faulted = analyze_program_cached(&program, &apis, &options, &plan, None);
 
     let analyzed = analyzed_functions(&clean);
     let hit: Vec<&String> =
@@ -97,17 +97,19 @@ fn parallel_equals_sequential_under_faults() {
     let apis = linux_dpm_apis();
     let plan = FaultPlan { seed: 7, panic_rate: 0.1, ..FaultPlan::none() };
 
-    let sequential = analyze_program_with_faults(
+    let sequential = analyze_program_cached(
         &program,
         &apis,
         &AnalysisOptions { threads: 1, ..AnalysisOptions::default() },
         &plan,
+        None,
     );
-    let parallel = analyze_program_with_faults(
+    let parallel = analyze_program_cached(
         &program,
         &apis,
         &AnalysisOptions { threads: 4, ..AnalysisOptions::default() },
         &plan,
+        None,
     );
 
     assert_eq!(sequential.reports, parallel.reports);
@@ -141,7 +143,7 @@ fn double_panic_degrades_to_default_summary() {
     };
 
     let result =
-        analyze_program_with_faults(&program, &apis, &AnalysisOptions::default(), &plan);
+        analyze_program_cached(&program, &apis, &AnalysisOptions::default(), &plan, None);
     let record = result.degraded.get("boom").expect("boom must be degraded");
     assert_eq!(record.reason, DegradeReason::Panic);
     // The function fell back to exactly the §5.2 default summary.
@@ -167,10 +169,15 @@ fn single_panic_recovers_via_retry() {
     let apis = linux_dpm_apis();
     let plan = FaultPlan { panic_functions: vec!["flaky".into()], ..FaultPlan::none() };
 
-    let clean =
-        analyze_program_with_faults(&program, &apis, &AnalysisOptions::default(), &FaultPlan::none());
+    let clean = analyze_program_cached(
+        &program,
+        &apis,
+        &AnalysisOptions::default(),
+        &FaultPlan::none(),
+        None,
+    );
     let faulted =
-        analyze_program_with_faults(&program, &apis, &AnalysisOptions::default(), &plan);
+        analyze_program_cached(&program, &apis, &AnalysisOptions::default(), &plan, None);
     assert_eq!(faulted.degraded.get("flaky").unwrap().reason, DegradeReason::Retried);
     // The retry (reduced limits are still ample here) reproduces the
     // clean summary — the fault cost one retry, not precision.
@@ -194,7 +201,7 @@ fn solver_stall_degrades_to_solver_fuel() {
     let plan = FaultPlan { stall_rate: 1.0, ..FaultPlan::none() };
 
     let result =
-        analyze_program_with_faults(&program, &apis, &AnalysisOptions::default(), &plan);
+        analyze_program_cached(&program, &apis, &AnalysisOptions::default(), &plan, None);
     let record = result.degraded.get("branchy").expect("stalled function degrades");
     assert_eq!(record.reason, DegradeReason::SolverFuel);
     // Degraded, not dead: a summary exists and it is partial.
@@ -240,11 +247,12 @@ fn explosive_function_completes_within_deadline() {
         ..AnalysisOptions::default()
     };
     let started = std::time::Instant::now();
-    let result = analyze_program_with_faults(
+    let result = analyze_program_cached(
         &program,
         &linux_dpm_apis(),
         &options,
         &FaultPlan::none(),
+        None,
     );
     let explosive = &corpus.adversarial_functions[0];
     let record = result
@@ -278,7 +286,7 @@ fn slow_fault_trips_function_deadline() {
         ..FaultPlan::none()
     };
     let result =
-        analyze_program_with_faults(&program, &linux_dpm_apis(), &options, &plan);
+        analyze_program_cached(&program, &linux_dpm_apis(), &options, &plan, None);
     let record = result.degraded.get("sleepy").expect("sleepy must degrade");
     assert_eq!(record.reason, DegradeReason::Deadline);
     assert!(record.cost.wall_ms >= 20, "cost records the sleep: {:?}", record.cost);

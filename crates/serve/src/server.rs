@@ -177,8 +177,13 @@ pub fn serve_unix(path: &std::path::Path, config: ServerConfig) -> io::Result<()
                     loop {
                         match read_frame(&mut reader, max) {
                             Ok(Frame::Line(line)) => {
-                                let responses =
-                                    engine.lock().expect("engine lock").handle_line(conn, &line);
+                                // Write the replies before releasing the
+                                // engine lock: the accept loop checks
+                                // `is_shutting_down()` under it, so a
+                                // `shutdown` reply is on the wire before
+                                // the daemon can drain and exit.
+                                let mut engine = engine.lock().expect("engine lock");
+                                let responses = engine.handle_line(conn, &line);
                                 route(&writers, responses);
                             }
                             Ok(Frame::Oversized(discarded)) => {

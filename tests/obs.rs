@@ -13,8 +13,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use rid::core::apis::linux_dpm_apis;
 use rid::core::{
-    analyze_program_cached, analyze_program_with_faults, degrade_census, AnalysisOptions,
-    FaultPlan, SummaryCache,
+    analyze_program_cached, degrade_census, AnalysisOptions, FaultPlan, SummaryCache,
 };
 use rid::obs::{trace, SpanKind};
 
@@ -169,7 +168,7 @@ fn degrade_events_agree_with_the_faults_census() {
     };
 
     trace::enable(trace::DEFAULT_CAPACITY);
-    let result = analyze_program_with_faults(&program, &linux_dpm_apis(), &options, &plan);
+    let result = analyze_program_cached(&program, &linux_dpm_apis(), &options, &plan, None);
     trace::disable();
     let trace = trace::drain();
 
