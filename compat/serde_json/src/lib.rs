@@ -93,19 +93,29 @@ macro_rules! json {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting of arrays and objects `from_str` accepts (serde_json's
+/// default recursion limit). The parser recurses once per level, so an
+/// unbounded depth would let one short line of `[` overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    depth: usize,
 }
 
 fn parse_value(text: &str) -> Result<Value> {
-    let mut parser = Parser { bytes: text.as_bytes(), at: 0 };
+    let mut parser = Parser { bytes: text.as_bytes(), at: 0, depth: 0 };
     let value = parser.value()?;
     parser.skip_ws();
     if parser.at != parser.bytes.len() {
         return Err(Error::new(format!("trailing input at byte {}", parser.at)));
     }
     Ok(value)
+}
+
+fn bad_unicode_escape() -> Error {
+    Error::new("bad \\u escape")
 }
 
 impl<'a> Parser<'a> {
@@ -150,14 +160,28 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value> {
         match self.peek() {
             None => Err(Error::new("unexpected end of input")),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
             Some(_) => self.number(),
         }
+    }
+
+    /// Parses one array or object, one level below the current one.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.at
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value> {
@@ -216,57 +240,76 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote or backslash at once:
+            // one UTF-8 check and one copy per run keeps decoding linear.
+            let rest = &self.bytes[self.at..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            let text =
+                std::str::from_utf8(&rest[..run]).map_err(|_| Error::new("invalid UTF-8"))?;
+            out.push_str(text);
+            self.at += run;
             match self.bytes.get(self.at) {
                 None => return Err(Error::new("unterminated string")),
                 Some(b'"') => {
                     self.at += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.bytes.get(self.at) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .ok_or_else(|| Error::new("bad \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::new("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::new("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("bad \\u escape"))?,
-                            );
-                            self.at += 4;
-                        }
-                        other => {
-                            return Err(Error::new(format!(
-                                "bad escape {:?}",
-                                other.map(|&b| b as char)
-                            )))
-                        }
-                    }
-                    self.at += 1;
-                }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| Error::new("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    self.at += 1;
+                    self.escape(&mut out)?;
                 }
             }
         }
+    }
+
+    /// Decodes the escape whose letter is at `self.at` (just past the
+    /// backslash) and leaves `self.at` after it.
+    fn escape(&mut self, out: &mut String) -> Result<()> {
+        match self.bytes.get(self.at) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let mut code = self.hex4()?;
+                // RFC 8259 §7: a character outside the Basic Multilingual
+                // Plane is escaped as a high surrogate followed by a low
+                // one. A lone surrogate of either kind is an error
+                // (`char::from_u32` refuses it).
+                if (0xD800..0xDC00).contains(&code) {
+                    if self.bytes.get(self.at + 1..self.at + 3) != Some(&b"\\u"[..]) {
+                        return Err(bad_unicode_escape());
+                    }
+                    self.at += 2;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(bad_unicode_escape());
+                    }
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                }
+                out.push(char::from_u32(code).ok_or_else(bad_unicode_escape)?);
+            }
+            other => return Err(Error::new(format!("bad escape {:?}", other.map(|&b| b as char)))),
+        }
+        self.at += 1;
+        Ok(())
+    }
+
+    /// Reads the four hex digits after the `u` at `self.at` and leaves
+    /// `self.at` on the last of them. Only hex digits count: no sign,
+    /// no whitespace.
+    fn hex4(&mut self) -> Result<u32> {
+        let digits = self.bytes.get(self.at + 1..self.at + 5).ok_or_else(bad_unicode_escape)?;
+        let code = digits
+            .iter()
+            .try_fold(0u32, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+            .ok_or_else(bad_unicode_escape)?;
+        self.at += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Value> {
@@ -326,6 +369,60 @@ mod tests {
         assert!(pretty.contains("\"k\": [\n"));
         let back: Value = from_str(&pretty).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_fail() {
+        // What Python's `json.dumps` writes for U+1F600.
+        let v: Value = from_str(r#""a\ud83d\ude00b""#).unwrap();
+        assert_eq!(v, "a\u{1F600}b");
+        let v: Value = from_str(r#""\uD834\uDD1E""#).unwrap();
+        assert_eq!(v, "\u{1D11E}");
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\n""#,
+            r#""\ud83dA""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83d\ude0""#,
+        ] {
+            let err = from_str::<Value>(bad).unwrap_err();
+            assert_eq!(err.to_string(), "bad \\u escape", "{bad}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        let v: Value = from_str(r#""\u0041\u00e9\u00E9""#).unwrap();
+        assert_eq!(v, "A\u{e9}\u{e9}");
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#, r#""\u00""#] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn strings_keep_raw_multibyte_text_and_errors() {
+        let v: Value = from_str("\"\u{e9}\u{4e2d}\u{1F600}\\\"x\\\\\"").unwrap();
+        assert_eq!(v, "\u{e9}\u{4e2d}\u{1F600}\"x\\");
+        assert_eq!(from_str::<Value>(r#""abc"#).unwrap_err().to_string(), "unterminated string");
+        assert_eq!(from_str::<Value>(r#""abc\"#).unwrap_err().to_string(), "bad escape None");
+        assert_eq!(from_str::<Value>(r#""\q""#).unwrap_err().to_string(), "bad escape Some('q')");
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let objects = format!("{}1{}", r#"{"k":"#.repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(from_str::<Value>(&objects).is_err());
+        // Far deeper than any stack would survive without the limit.
+        assert!(from_str::<Value>(&"[".repeat(600_000)).is_err());
+        // Depth is per path, not a count of containers.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
     }
 
     #[test]

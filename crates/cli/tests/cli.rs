@@ -479,9 +479,10 @@ fn balanced(dev) {
 }
 
 /// A `shutdown` request must be answered before the daemon exits: the
-/// connection thread writes the reply while it still holds the engine
-/// lock, so the accept loop cannot observe the shutdown, drain, and
-/// return in between. Repeated because the lost reply was a race.
+/// connection thread queues the reply while it still holds the engine
+/// lock, so the accept loop sees the shutdown only after the reply is
+/// queued, and it lets the writer threads flush before it returns.
+/// Repeated because the lost reply was a race.
 #[cfg(unix)]
 #[test]
 fn serve_answers_shutdown_before_exiting() {
@@ -518,4 +519,90 @@ fn serve_answers_shutdown_before_exiting() {
         let status = daemon.wait().unwrap();
         assert!(status.success(), "run {run}: daemon exits cleanly after shutdown");
     }
+}
+
+/// A client that sends requests and never reads its replies stalls only
+/// itself: replies are queued per connection and written by that
+/// connection's own thread, so another client is still answered.
+#[cfg(unix)]
+#[test]
+fn serve_answers_other_clients_while_one_stops_reading() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::Duration;
+
+    let socket = tempdir("stalled").join("rid.sock");
+    let mut daemon = rid()
+        .args(["serve", "--socket", socket.to_str().unwrap()])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let stalled = (0..600)
+        .find_map(|_| {
+            std::os::unix::net::UnixStream::connect(&socket).ok().or_else(|| {
+                std::thread::sleep(Duration::from_millis(10));
+                None
+            })
+        })
+        .expect("daemon never listened");
+    let mut sender = stalled.try_clone().unwrap();
+    sender.set_write_timeout(Some(Duration::from_secs(30))).unwrap();
+    let flood = std::thread::spawn(move || {
+        for id in 0..2000 {
+            if writeln!(sender, "{{\"id\":{id},\"op\":\"stats\"}}").is_err() {
+                break;
+            }
+        }
+    });
+    std::thread::sleep(Duration::from_secs(2));
+
+    let mut other = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    other.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    other.write_all(b"{\"id\":1,\"op\":\"ping\"}\n").unwrap();
+    let mut reader = BufReader::new(other.try_clone().unwrap());
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("ping answered within 10 s");
+    let reply: serde_json::Value = serde_json::from_str(reply.trim()).unwrap();
+    assert_eq!(reply["id"].as_i64(), Some(1), "{reply}");
+    assert_eq!(reply["result"]["pong"].as_bool(), Some(true), "{reply}");
+
+    stalled.shutdown(std::net::Shutdown::Both).unwrap();
+    flood.join().unwrap();
+    other.write_all(b"{\"id\":2,\"op\":\"shutdown\"}\n").unwrap();
+    let mut bye = String::new();
+    reader.read_line(&mut bye).unwrap();
+    assert!(bye.contains("\"ok\":true"), "{bye}");
+    assert!(daemon.wait().unwrap().success(), "daemon exits cleanly after shutdown");
+}
+
+/// Nesting is capped at 128 levels: a short line of `[` draws a `parse`
+/// error instead of overflowing the daemon's stack, and the stream
+/// keeps serving.
+#[test]
+fn serve_stdio_rejects_deep_nesting_and_keeps_serving() {
+    use std::io::Write;
+
+    let mut daemon = rid()
+        .args(["serve", "--stdio"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut input = daemon.stdin.take().unwrap();
+    let feeder = std::thread::spawn(move || {
+        input.write_all("[".repeat(600_000).as_bytes()).unwrap();
+        input.write_all(b"\n{\"id\":2,\"op\":\"ping\"}\n").unwrap();
+    });
+    let output = daemon.wait_with_output().unwrap();
+    feeder.join().unwrap();
+    assert!(output.status.success(), "{}", stderr(&output));
+    let text = stdout(&output);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    let first: serde_json::Value = serde_json::from_str(lines[0]).unwrap();
+    assert_eq!(first["error"]["kind"].as_str(), Some("parse"), "{first}");
+    let second: serde_json::Value = serde_json::from_str(lines[1]).unwrap();
+    assert_eq!(second["id"].as_i64(), Some(2), "{second}");
+    assert_eq!(second["result"]["pong"].as_bool(), Some(true), "{second}");
 }

@@ -123,17 +123,125 @@ pub fn serve_stdio<R: BufRead, W: Write>(
     output.flush()
 }
 
+/// Reply bytes one connection may have queued before its reader stops
+/// taking frames. A client that stops reading holds at most this much
+/// (plus the replies to its last frame) in the daemon, and stalls only
+/// its own connection.
+#[cfg(unix)]
+const MAX_QUEUED_REPLY_BYTES: usize = 8 << 20;
+
+/// How long an exiting daemon lets the writer threads flush the replies
+/// already queued (the `shutdown` reply among them).
+#[cfg(unix)]
+const FLUSH_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+
+#[cfg(unix)]
+#[derive(Default)]
+struct ReplyQueue {
+    lines: std::collections::VecDeque<String>,
+    /// Bytes queued or being written, newlines included.
+    bytes: usize,
+    /// Set when no more replies will be taken: the writer exits once
+    /// the queue is empty, and later replies are dropped.
+    closed: bool,
+}
+
+/// One connection's replies, in the order the engine produced them,
+/// waiting for that connection's writer thread. Only the writer thread
+/// touches the socket, and it holds no lock while it writes.
+#[cfg(unix)]
+#[derive(Default)]
+struct Outbox {
+    queue: Mutex<ReplyQueue>,
+    changed: std::sync::Condvar,
+}
+
+#[cfg(unix)]
+impl Outbox {
+    fn lock(&self) -> std::sync::MutexGuard<'_, ReplyQueue> {
+        self.queue.lock().expect("outbox lock")
+    }
+
+    /// Queues one reply line; a closed outbox drops it.
+    fn push(&self, line: String) {
+        {
+            let mut queue = self.lock();
+            if queue.closed {
+                return;
+            }
+            queue.bytes += line.len() + 1;
+            queue.lines.push_back(line);
+        }
+        // Woken after the unlock, the writer does not block on it.
+        self.changed.notify_all();
+    }
+
+    /// Takes no more replies; the writer flushes the queue and exits.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.changed.notify_all();
+    }
+
+    /// Blocks while more than [`MAX_QUEUED_REPLY_BYTES`] are queued.
+    fn wait_for_room(&self) {
+        let mut queue = self.lock();
+        while queue.bytes > MAX_QUEUED_REPLY_BYTES {
+            queue = self.changed.wait(queue).expect("outbox lock");
+        }
+    }
+
+    /// The writer thread's loop: writes queued replies in order until
+    /// the outbox is closed and empty, or the peer goes away (its later
+    /// replies are then dropped — the daemon must not die for a
+    /// disconnected client).
+    fn write_to(&self, stream: std::os::unix::net::UnixStream) {
+        let mut out = io::BufWriter::new(stream);
+        loop {
+            let batch: Vec<String> = {
+                let mut queue = self.lock();
+                while queue.lines.is_empty() && !queue.closed {
+                    queue = self.changed.wait(queue).expect("outbox lock");
+                }
+                if queue.lines.is_empty() {
+                    return;
+                }
+                queue.lines.drain(..).collect()
+            };
+            let bytes: usize = batch.iter().map(|line| line.len() + 1).sum();
+            let written = batch
+                .iter()
+                .try_for_each(|line| out.write_all(line.as_bytes()).and(out.write_all(b"\n")))
+                .and_then(|()| out.flush());
+            let mut queue = self.lock();
+            queue.bytes -= bytes;
+            if written.is_err() {
+                queue.closed = true;
+                queue.lines.clear();
+                queue.bytes = 0;
+            }
+            self.changed.notify_all();
+            if written.is_err() {
+                return;
+            }
+        }
+    }
+}
+
 /// Serves the protocol on a Unix domain socket at `path`.
 ///
-/// One reader thread per connection feeds a shared engine; responses
+/// Each connection has a reader thread that feeds the shared engine and
+/// a writer thread that drains the connection's reply queue. Responses
 /// are routed back by connection id, so coalesced batches answer every
-/// connection that contributed a request. The accept loop polls a
-/// SIGTERM/SIGINT latch and the engine's shutdown state; on either it
-/// stops accepting, drains the queue, and removes the socket file.
+/// connection that contributed a request; routing only queues, so a
+/// client that stops reading never blocks the engine or other clients.
+/// The accept loop polls a SIGTERM/SIGINT latch and the engine's
+/// shutdown state; on either it stops accepting, drains the queue, lets
+/// the writers flush for up to `FLUSH_TIMEOUT`, and removes the socket
+/// file.
 #[cfg(unix)]
 pub fn serve_unix(path: &std::path::Path, config: ServerConfig) -> io::Result<()> {
     use std::collections::HashMap;
-    use std::os::unix::net::{UnixListener, UnixStream};
+    use std::os::unix::net::UnixListener;
 
     // A stale socket from a crashed daemon would make bind fail.
     let _ = std::fs::remove_file(path);
@@ -150,7 +258,8 @@ pub fn serve_unix(path: &std::path::Path, config: ServerConfig) -> io::Result<()
     if let Some(black_box) = &black_box {
         crate::flightrec::install_panic_hook(black_box);
     }
-    let writers: Arc<Mutex<HashMap<usize, UnixStream>>> = Arc::new(Mutex::new(HashMap::new()));
+    let outboxes: Arc<Mutex<HashMap<usize, Arc<Outbox>>>> = Arc::new(Mutex::new(HashMap::new()));
+    let mut writer_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
     // Connection 0 is reserved: journal replay tags its discarded
     // responses with `usize::default()`, so live connections start at 1.
     let mut next_conn = 1usize;
@@ -166,35 +275,45 @@ pub fn serve_unix(path: &std::path::Path, config: ServerConfig) -> io::Result<()
             Ok((stream, _addr)) => {
                 let conn = next_conn;
                 next_conn += 1;
-                writers
-                    .lock()
-                    .expect("writers lock")
-                    .insert(conn, stream.try_clone()?);
+                let outbox = Arc::new(Outbox::default());
+                outboxes.lock().expect("outboxes lock").insert(conn, Arc::clone(&outbox));
+                let write_half = stream.try_clone()?;
+                let writer = Arc::clone(&outbox);
+                writer_threads.retain(|thread| !thread.is_finished());
+                writer_threads.push(std::thread::spawn(move || writer.write_to(write_half)));
                 let engine = Arc::clone(&engine);
-                let writers = Arc::clone(&writers);
+                let outboxes = Arc::clone(&outboxes);
                 std::thread::spawn(move || {
                     let mut reader = BufReader::new(stream);
                     loop {
+                        outbox.wait_for_room();
                         match read_frame(&mut reader, max) {
                             Ok(Frame::Line(line)) => {
-                                // Write the replies before releasing the
-                                // engine lock: the accept loop checks
-                                // `is_shutting_down()` under it, so a
-                                // `shutdown` reply is on the wire before
-                                // the daemon can drain and exit.
                                 let mut engine = engine.lock().expect("engine lock");
                                 let responses = engine.handle_line(conn, &line);
-                                route(&writers, responses);
+                                // Take the outboxes before releasing the
+                                // engine lock, so replies are queued in
+                                // the engine's order and before the accept
+                                // loop (which checks `is_shutting_down()`
+                                // under the engine lock) can drain, close
+                                // the outboxes and exit; queue them after
+                                // releasing it, so the woken writer does
+                                // not preempt a thread the next request
+                                // waits for.
+                                let outboxes = outboxes.lock().expect("outboxes lock");
+                                drop(engine);
+                                route(&outboxes, responses);
                             }
                             Ok(Frame::Oversized(discarded)) => {
-                                route(&writers, vec![(conn, oversized_line(discarded, max))]);
+                                outbox.push(oversized_line(discarded, max));
                             }
                             // A mid-frame disconnect or non-UTF-8 junk
                             // ends this connection only.
                             Ok(Frame::Eof) | Err(_) => break,
                         }
                     }
-                    writers.lock().expect("writers lock").remove(&conn);
+                    outboxes.lock().expect("outboxes lock").remove(&conn);
+                    outbox.close();
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -211,26 +330,32 @@ pub fn serve_unix(path: &std::path::Path, config: ServerConfig) -> io::Result<()
         }
     }
 
-    // Graceful drain: answer everything accepted before we stop.
+    // Graceful drain: answer everything accepted before we stop, then
+    // give the writers a bounded time to put it on the wire.
     let responses = engine.lock().expect("engine lock").drain();
-    route(&writers, responses);
+    let outboxes = outboxes.lock().expect("outboxes lock");
+    route(&outboxes, responses);
+    for outbox in outboxes.values() {
+        outbox.close();
+    }
+    drop(outboxes);
+    let deadline = std::time::Instant::now() + FLUSH_TIMEOUT;
+    while writer_threads.iter().any(|thread| !thread.is_finished())
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
     let _ = std::fs::remove_file(path);
     Ok(())
 }
 
-/// Writes each response to its connection's stream; connections that
-/// went away simply miss their reply (the daemon must not die for a
-/// disconnected client).
+/// Queues each response on its connection's outbox; replies to
+/// connections that went away are dropped.
 #[cfg(unix)]
-fn route(
-    writers: &Arc<Mutex<std::collections::HashMap<usize, std::os::unix::net::UnixStream>>>,
-    responses: Vec<(usize, String)>,
-) {
-    let mut writers = writers.lock().expect("writers lock");
+fn route(outboxes: &std::collections::HashMap<usize, Arc<Outbox>>, responses: Vec<(usize, String)>) {
     for (conn, response) in responses {
-        if let Some(stream) = writers.get_mut(&conn) {
-            let _ = writeln!(stream, "{response}");
-            let _ = stream.flush();
+        if let Some(outbox) = outboxes.get(&conn) {
+            outbox.push(response);
         }
     }
 }
@@ -317,6 +442,45 @@ mod tests {
             Frame::Line(line) => assert_eq!(line, "tail"),
             _ => panic!("unterminated final line must pass"),
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn outbox_keeps_order_and_holds_the_reader_past_the_cap() {
+        use std::time::Duration;
+        let (daemon_end, client_end) = std::os::unix::net::UnixStream::pair().unwrap();
+        let outbox = Arc::new(Outbox::default());
+        let body = "x".repeat(1 << 20);
+        let count = MAX_QUEUED_REPLY_BYTES / body.len() + 2;
+        for i in 0..count {
+            outbox.push(format!("{i}:{body}"));
+        }
+        let (room, has_room) = std::sync::mpsc::channel();
+        let reader = Arc::clone(&outbox);
+        std::thread::spawn(move || {
+            reader.wait_for_room();
+            room.send(()).unwrap();
+        });
+        assert!(
+            has_room.recv_timeout(Duration::from_millis(200)).is_err(),
+            "the reader waits while the queue is past the cap"
+        );
+        let writer = Arc::clone(&outbox);
+        let handle = std::thread::spawn(move || writer.write_to(daemon_end));
+        let mut client = BufReader::new(client_end);
+        for i in 0..count {
+            let mut line = String::new();
+            client.read_line(&mut line).unwrap();
+            assert!(line.starts_with(&format!("{i}:")), "reply {i} arrives in order");
+        }
+        has_room.recv_timeout(Duration::from_secs(10)).expect("room once the writer drained");
+        outbox.push("last".to_owned());
+        outbox.close();
+        outbox.push("dropped".to_owned());
+        handle.join().unwrap();
+        let mut rest = String::new();
+        std::io::Read::read_to_string(&mut client, &mut rest).unwrap();
+        assert_eq!(rest, "last\n", "close flushes what was queued, then takes nothing");
     }
 
     #[cfg(unix)]
